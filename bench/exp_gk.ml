@@ -335,11 +335,7 @@ let run () =
     (Printf.sprintf "%.2fus / %.2fus (ratio %.2f, ceiling 3.0)" p99_quiet p99_storm p99_ratio);
   Render.kv "update visibility lag p99 / max"
     (Printf.sprintf "%.2fms / %.2fms (ceiling 250ms)" lag_p99_ms lag_max_ms);
-  Render.kv "snapshot swaps / retained / reclaimed"
-    (Printf.sprintf "%d / %d / %d"
-       (Runtime.snapshot_swaps runtime)
-       (Runtime.retained_snapshots runtime)
-       (Runtime.reclaimed_snapshots runtime));
+  Render.kv "snapshot swaps" (string_of_int (Runtime.snapshot_swaps runtime));
   Render.kv "laser generation / reads"
     (Printf.sprintf "%d / %d" (Laser.generation laser) (Laser.reads laser));
   Render.kv "exposure logging overhead"
@@ -380,7 +376,6 @@ let run () =
          "visibility_lag_max_ms", Json.Float lag_max_ms;
          "visibility_ok", Json.Bool visibility_ok;
          "snapshot_swaps", Json.Int (Runtime.snapshot_swaps runtime);
-         "snapshots_reclaimed", Json.Int (Runtime.reclaimed_snapshots runtime);
          "laser_generation", Json.Int (Laser.generation laser);
          "exposures_recorded", Json.Int exposures_recorded;
          "exposure_overhead_x100", Json.Int (int_of_float (100.0 *. exposure_overhead));

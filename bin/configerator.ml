@@ -433,9 +433,7 @@ let run_gk_stats domains checks nprojects churn =
   Printf.printf "domains seen             %d\n" (Runtime.domains_seen runtime);
   Printf.printf "checks performed         %d (%.2fM checks/s aggregate)\n" performed
     (float_of_int performed /. wall /. 1e6);
-  Printf.printf "snapshot swaps (epoch)   %d\n" (Runtime.snapshot_swaps runtime);
-  Printf.printf "snapshots retained       %d\n" (Runtime.retained_snapshots runtime);
-  Printf.printf "snapshots reclaimed      %d\n" (Runtime.reclaimed_snapshots runtime);
+  Printf.printf "snapshot swaps           %d\n" (Runtime.snapshot_swaps runtime);
   Printf.printf "evaluated restraints     %d\n" (Runtime.evaluated_restraints runtime);
   Printf.printf "evaluated cost           %.1f (%.4f per check)\n"
     (Runtime.evaluated_cost runtime)

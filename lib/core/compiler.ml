@@ -34,14 +34,14 @@ let verdict_of_error { at; stage; message } =
 
 (* Domain-safe, content-addressed artifact memo cache.
 
-   The keyspace is hash-sharded; each shard is an immutable map
-   behind one [Atomic.t] (the PR-8 snapshot-swap recipe from the
-   Gatekeeper/Laser check plane, applied to the write path).  The hit
+   The keyspace is hash-sharded; each shard is an immutable map in
+   its own [Cm_parallel.Snapshot] (the primitive the Gatekeeper/Laser
+   check plane reads through, applied to the write path).  The hit
    path is wait-free — one atomic load plus a persistent-map lookup;
-   publishing a miss is a CAS loop against the freshest shard root,
-   so compiling domains never block each other and never block a
-   concurrent reader (e.g. the live tailer hitting the cache while a
-   proposal compiles on the pool).
+   publishing a miss is [Snapshot.update]'s compare-and-set against
+   the freshest shard root, so compiling domains never block each
+   other and never block a concurrent reader (e.g. the live tailer
+   hitting the cache while a proposal compiles on the pool).
 
    The cache is bounded: an optional byte budget, split evenly across
    shards, is enforced at publish time by clock-style LRU eviction —
@@ -57,6 +57,7 @@ let verdict_of_error { at; stage; message } =
    [local] blocks that [merge] at the pool's join point. *)
 module Cache = struct
   module Metrics = Cm_sim.Metrics
+  module Snapshot = Cm_parallel.Snapshot
   module Smap = Map.Make (String)
 
   type entry = {
@@ -65,15 +66,18 @@ module Cache = struct
     last_used : int Atomic.t;  (* clock stamp; racy by design *)
   }
 
-  type shard = { entries : entry Smap.t; bytes : int }
+  type shard = {
+    entries : entry Smap.t;
+    bytes : int;
+    evicted : int;  (* entries this shard has ever evicted *)
+  }
 
   type t = {
     nshards : int;
-    shards : shard Atomic.t array;
+    shards : shard Snapshot.t array;
     clock : int Atomic.t;
     byte_budget : int option;
     shard_budget : int;  (* byte_budget / nshards, or max_int *)
-    evicted : int Atomic.t;
     hit_counter : Metrics.Counter.t;
     miss_counter : Metrics.Counter.t;
     compile_seconds : Metrics.Histogram.t;
@@ -84,14 +88,14 @@ module Cache = struct
     {
       nshards;
       shards =
-        Array.init nshards (fun _ -> Atomic.make { entries = Smap.empty; bytes = 0 });
+        Array.init nshards (fun _ ->
+            Snapshot.make { entries = Smap.empty; bytes = 0; evicted = 0 });
       clock = Atomic.make 0;
       byte_budget;
       shard_budget =
         (match byte_budget with
         | Some budget -> max 1 (budget / nshards)
         | None -> max_int);
-      evicted = Atomic.make 0;
       hit_counter = Metrics.Counter.create ();
       miss_counter = Metrics.Counter.create ();
       compile_seconds = Metrics.Histogram.create ();
@@ -109,7 +113,7 @@ module Cache = struct
   let shard_of t key = Hashtbl.hash key mod t.nshards
 
   let find t key =
-    let root = Atomic.get t.shards.(shard_of t key) in
+    let root = Snapshot.get t.shards.(shard_of t key) in
     match Smap.find_opt key root.entries with
     | Some e ->
         Atomic.set e.last_used (Atomic.fetch_and_add t.clock 1);
@@ -118,9 +122,8 @@ module Cache = struct
 
   (* Evict least-recently-stamped entries (never [keep]) until the
      shard fits its budget. *)
-  let rec shrink t ~keep shard nevicted =
-    if shard.bytes <= t.shard_budget || Smap.cardinal shard.entries <= 1 then
-      shard, nevicted
+  let rec shrink t ~keep shard =
+    if shard.bytes <= t.shard_budget || Smap.cardinal shard.entries <= 1 then shard
     else begin
       let victim =
         Smap.fold
@@ -134,47 +137,44 @@ module Cache = struct
           shard.entries None
       in
       match victim with
-      | None -> shard, nevicted
+      | None -> shard
       | Some (key, e) ->
           shrink t ~keep
-            { entries = Smap.remove key shard.entries; bytes = shard.bytes - e.cost }
-            (nevicted + 1)
+            { entries = Smap.remove key shard.entries; bytes = shard.bytes - e.cost;
+              evicted = shard.evicted + 1 }
     end
 
-  let rec store t key value =
-    let cell = t.shards.(shard_of t key) in
-    let old = Atomic.get cell in
-    if Smap.mem key old.entries then ()
-      (* a racing publisher won; closure hashes are content addresses,
-         so its artifact is byte-identical to ours *)
-    else begin
-      let e =
-        {
-          value;
-          cost = entry_cost value;
-          last_used = Atomic.make (Atomic.fetch_and_add t.clock 1);
-        }
-      in
-      let grown = { entries = Smap.add key e old.entries; bytes = old.bytes + e.cost } in
-      let next, nevicted = shrink t ~keep:key grown 0 in
-      if Atomic.compare_and_set cell old next then begin
-        if nevicted > 0 then ignore (Atomic.fetch_and_add t.evicted nevicted)
-      end
-      else store t key value
-    end
+  let store t key value =
+    Snapshot.update t.shards.(shard_of t key) (fun old ->
+        if Smap.mem key old.entries then old
+          (* a racing publisher won; closure hashes are content addresses,
+             so its artifact is byte-identical to ours *)
+        else begin
+          let e =
+            {
+              value;
+              cost = entry_cost value;
+              last_used = Atomic.make (Atomic.fetch_and_add t.clock 1);
+            }
+          in
+          shrink t ~keep:key
+            { old with entries = Smap.add key e old.entries; bytes = old.bytes + e.cost }
+        end)
 
   let hits t = Metrics.Counter.value t.hit_counter
   let misses t = Metrics.Counter.value t.miss_counter
 
   let size t =
     Array.fold_left
-      (fun acc cell -> acc + Smap.cardinal (Atomic.get cell).entries)
+      (fun acc cell -> acc + Smap.cardinal (Snapshot.get cell).entries)
       0 t.shards
 
   let resident_bytes t =
-    Array.fold_left (fun acc cell -> acc + (Atomic.get cell).bytes) 0 t.shards
+    Array.fold_left (fun acc cell -> acc + (Snapshot.get cell).bytes) 0 t.shards
 
-  let evictions t = Atomic.get t.evicted
+  let evictions t =
+    Array.fold_left (fun acc cell -> acc + (Snapshot.get cell).evicted) 0 t.shards
+
   let byte_budget t = t.byte_budget
   let shard_count t = t.nshards
   let compile_seconds t = t.compile_seconds

@@ -105,14 +105,16 @@ let run ?pool t artifacts =
   in
   t.nskipped <- t.nskipped + (List.length artifacts - List.length fresh);
   (* Checks are independent of each other and read-only over [fresh],
-     so they fan out across the pool; [map_ordered] keeps the report in
+     so they fan out across the pool; [map_list] keeps the report in
      check-registration order, identical to the sequential run.  The
      [validated] table is only written below, after the join. *)
+  let run_check check =
+    Defense.of_finding ~stage:"sandcastle" ~rule:check.check_name (check.run fresh)
+  in
   let report =
-    Parallel.map_ordered pool
-      (fun check ->
-        Defense.of_finding ~stage:"sandcastle" ~rule:check.check_name (check.run fresh))
-      t.checks
+    match pool with
+    | None -> List.map run_check t.checks
+    | Some pool -> Cm_parallel.Pool.map_list pool run_check t.checks
   in
   if passed report then
     List.iter (fun c -> Hashtbl.replace t.validated (artifact_key c) ()) fresh;

@@ -6,27 +6,25 @@
 
    - An immutable *snapshot* — every compiled project (restraints in
      written order, the cost-based evaluation ordering, pass
-     probabilities) behind one [Atomic.t].  A reader does a single
-     [Atomic.get] per check and never takes a lock; the tables inside
-     a snapshot are frozen at publish time and never mutated.
+     probabilities) in one [Cm_parallel.Snapshot].  A reader does a
+     single atomic load per check and never takes a lock; the tables
+     inside a snapshot are frozen at publish time and never mutated.
 
    - Per-domain *execution statistics* (restraint eval/true counters,
-     check counts, evaluated cost) in [Domain.DLS] accumulators.  The
-     hot path writes plain ints into its own domain's arrays — no
-     shared counter, no contention.  Accumulators are merged at
-     reoptimize boundaries, so the cost-based ordering converges on
-     fleet-wide selectivities without a shared hot spot.
+     check counts, evaluated cost) in [Cm_parallel.Per_domain] cells.
+     The hot path writes plain ints into its own domain's arrays — no
+     shared counter, no contention.  Cells are merged at reoptimize
+     boundaries, so the cost-based ordering converges on fleet-wide
+     selectivities without a shared hot spot.
 
    - A *writer side*: [load]/[unload]/[reoptimize] build the next
-     snapshot off to the side under a writer mutex and publish it with
-     an epoch-bumping atomic store.  Retired snapshots are reclaimed
-     epoch-style: each domain records the epoch of the snapshot it is
-     using; once every registered reader has observed a later epoch,
-     the old snapshot is dropped from the retire list (the OCaml GC
-     does the actual freeing — the protocol bounds how long superseded
-     snapshots stay reachable and makes the lag observable).  A small
-     hard cap bounds the retire list even if an idle domain never
-     advances its epoch. *)
+     snapshot off to the side and publish it with [Snapshot.update]'s
+     compare-and-set; a writer that loses a race rebuilds against the
+     winner.  A superseded snapshot is garbage as soon as the last
+     reader drops it, so nothing tracks retired snapshots. *)
+
+module Snapshot = Cm_parallel.Snapshot
+module Per_domain = Cm_parallel.Per_domain
 
 type compiled_rule = {
   restraints : Restraint.t array;  (* written order *)
@@ -42,12 +40,6 @@ type compiled = {
   crules : compiled_rule array;
 }
 
-type snapshot = {
-  (* Frozen at publish: readers only ever call [Hashtbl.find_opt]. *)
-  projects : (string, compiled) Hashtbl.t;
-  epoch : int;
-}
-
 (* Per-domain, per-project stat arrays, shaped like the compiled rules
    and keyed by the load stamp (a reload resets them). *)
 type proj_stats = {
@@ -61,7 +53,6 @@ type local = {
   mutable l_evals : int;
   mutable l_cost : float;
   mutable l_since_opt : int;
-  mutable l_epoch : int;  (* epoch of the snapshot this domain last used *)
   tbl : (string, proj_stats) Hashtbl.t;
 }
 
@@ -70,62 +61,32 @@ type t = {
   reoptimize_every : int;
   clock : unit -> float;
   exposures : Exposure.Log.t option;
-  root : snapshot Atomic.t;
-  writer : Mutex.t;               (* serializes publishers, never readers *)
-  registry : local list ref;
-  reg_mutex : Mutex.t;            (* guards registration only *)
-  dls : local Domain.DLS.key;
+  root : (string, compiled) Hashtbl.t Snapshot.t;  (* frozen at publish: find_opt only *)
+  locals : local Per_domain.t;
   stamp_counter : int Atomic.t;
-  mutable retired : snapshot list;  (* under [writer] *)
-  reclaimed : int Atomic.t;
 }
-
-(* Idle domains never advance their epoch; past this many retired
-   snapshots the oldest are dropped anyway (safe: the GC, not this
-   list, owns their memory). *)
-let max_retired = 4
 
 let create ?(ctx = { Restraint.laser = None }) ?(reoptimize_every = 1024)
     ?(clock = fun () -> 0.0) ?exposures () =
-  let registry = ref [] in
-  let reg_mutex = Mutex.create () in
-  let dls =
-    Domain.DLS.new_key (fun () ->
-        let local =
-          {
-            l_checks = 0;
-            l_evals = 0;
-            l_cost = 0.0;
-            l_since_opt = 0;
-            l_epoch = -1;
-            tbl = Hashtbl.create 16;
-          }
-        in
-        Mutex.lock reg_mutex;
-        registry := local :: !registry;
-        Mutex.unlock reg_mutex;
-        local)
-  in
   {
     ctx;
     reoptimize_every;
     clock;
     exposures;
-    root = Atomic.make { projects = Hashtbl.create 1; epoch = 0 };
-    writer = Mutex.create ();
-    registry;
-    reg_mutex;
-    dls;
+    root = Snapshot.make (Hashtbl.create 1);
+    locals =
+      Per_domain.create (fun () ->
+          {
+            l_checks = 0;
+            l_evals = 0;
+            l_cost = 0.0;
+            l_since_opt = 0;
+            tbl = Hashtbl.create 16;
+          });
     stamp_counter = Atomic.make 0;
-    retired = [];
-    reclaimed = Atomic.make 0;
   }
 
-let locals t =
-  Mutex.lock t.reg_mutex;
-  let all = !(t.registry) in
-  Mutex.unlock t.reg_mutex;
-  all
+let locals t = Per_domain.all t.locals
 
 (* --- compilation ----------------------------------------------------- *)
 
@@ -156,56 +117,17 @@ let compile_project t ?order_from project =
   in
   { project; stamp; crules }
 
-(* --- publish / epoch reclamation ------------------------------------- *)
-
-(* Epochs a registered domain may still be using: -1 means "never
-   checked", which cannot reference any snapshot. *)
-let min_reader_epoch t ~current =
-  List.fold_left
-    (fun acc local -> if local.l_epoch < 0 then acc else min acc local.l_epoch)
-    current (locals t)
-
-(* Caller holds [t.writer]. *)
-let sweep_retired t =
-  let current = (Atomic.get t.root).epoch in
-  let floor = min_reader_epoch t ~current in
-  let keep, drop = List.partition (fun s -> s.epoch >= floor) t.retired in
-  let keep, capped =
-    (* [retired] is newest-first; cap the tail. *)
-    let rec split i = function
-      | [] -> [], []
-      | s :: rest ->
-          if i >= max_retired then [], s :: rest
-          else
-            let k, d = split (i + 1) rest in
-            s :: k, d
-    in
-    split 0 keep
-  in
-  t.retired <- keep;
-  ignore (Atomic.fetch_and_add t.reclaimed (List.length drop + List.length capped))
-
-(* Caller holds [t.writer]. *)
-let publish_locked t projects =
-  let old = Atomic.get t.root in
-  Atomic.set t.root { projects; epoch = old.epoch + 1 };
-  t.retired <- old :: t.retired;
-  sweep_retired t
-
-let with_writer t f =
-  Mutex.lock t.writer;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) f
+(* --- publish ----------------------------------------------------------- *)
 
 let load t project =
-  with_writer t (fun () ->
-      let old = Atomic.get t.root in
-      let projects = Hashtbl.copy old.projects in
-      let name = project.Project.project_name in
+  let name = project.Project.project_name in
+  Snapshot.update t.root (fun old ->
+      let projects = Hashtbl.copy old in
       (* Carry the learned evaluation ordering across a reload when the
          rule shapes still match; the stats themselves reset. *)
-      let order_from = Hashtbl.find_opt old.projects name in
+      let order_from = Hashtbl.find_opt old name in
       Hashtbl.replace projects name (compile_project t ?order_from project);
-      publish_locked t projects)
+      projects)
 
 let load_json t json =
   match Project.of_json json with
@@ -215,13 +137,13 @@ let load_json t json =
   | Error _ as e -> e
 
 let unload t name =
-  with_writer t (fun () ->
-      let old = Atomic.get t.root in
-      if Hashtbl.mem old.projects name then begin
-        let projects = Hashtbl.copy old.projects in
+  Snapshot.update t.root (fun old ->
+      if Hashtbl.mem old name then begin
+        let projects = Hashtbl.copy old in
         Hashtbl.remove projects name;
-        publish_locked t projects
-      end)
+        projects
+      end
+      else old)
 
 (* --- statistics merge ------------------------------------------------ *)
 
@@ -277,25 +199,15 @@ let reorder_compiled t compiled =
   in
   { compiled with crules }
 
-(* Merge stats and publish re-derived orderings for every project.
-   Holding the writer mutex; readers are unaffected. *)
-let reoptimize_locked t =
-  let old = Atomic.get t.root in
-  let projects = Hashtbl.create (Hashtbl.length old.projects) in
-  Hashtbl.iter
-    (fun name compiled -> Hashtbl.replace projects name (reorder_compiled t compiled))
-    old.projects;
-  publish_locked t projects
-
-let reoptimize t = with_writer t (fun () -> reoptimize_locked t)
-
-(* Hot-path variant: never blocks — if another domain is already
-   publishing, skip this boundary and try again in [reoptimize_every]
-   checks. *)
-let try_reoptimize t =
-  if Mutex.try_lock t.writer then
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) (fun () ->
-        reoptimize_locked t)
+(* Merge stats and publish re-derived orderings for every project;
+   readers are unaffected. *)
+let reoptimize t =
+  Snapshot.update t.root (fun old ->
+      let projects = Hashtbl.create (Hashtbl.length old) in
+      Hashtbl.iter
+        (fun name compiled -> Hashtbl.replace projects name (reorder_compiled t compiled))
+        old;
+      projects)
 
 (* --- the check hot path ---------------------------------------------- *)
 
@@ -349,11 +261,9 @@ let record_exposure t name user passed =
         }
 
 let check_with t name user ~use_order =
-  let local = Domain.DLS.get t.dls in
+  let local = Per_domain.get t.locals in
   local.l_checks <- local.l_checks + 1;
-  let snap = Atomic.get t.root in
-  local.l_epoch <- snap.epoch;
-  match Hashtbl.find_opt snap.projects name with
+  match Hashtbl.find_opt (Snapshot.get t.root) name with
   | None -> false
   | Some compiled ->
       if compiled.project.Project.killed then begin
@@ -365,7 +275,7 @@ let check_with t name user ~use_order =
           local.l_since_opt <- local.l_since_opt + 1;
           if local.l_since_opt >= t.reoptimize_every then begin
             local.l_since_opt <- 0;
-            try_reoptimize t
+            reoptimize t
           end
         end;
         let stats = stats_for local compiled in
@@ -396,12 +306,11 @@ let evaluated_restraints t = List.fold_left (fun acc l -> acc + l.l_evals) 0 (lo
 let evaluated_cost t = List.fold_left (fun acc l -> acc +. l.l_cost) 0.0 (locals t)
 
 let project_names t =
-  let snap = Atomic.get t.root in
-  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) snap.projects [])
+  List.sort String.compare
+    (Hashtbl.fold (fun name _ acc -> name :: acc) (Snapshot.get t.root) [])
 
 let restraint_stats t name =
-  let snap = Atomic.get t.root in
-  match Hashtbl.find_opt snap.projects name with
+  match Hashtbl.find_opt (Snapshot.get t.root) name with
   | None -> []
   | Some compiled ->
       let evals, trues = merged_counts t compiled in
@@ -416,12 +325,6 @@ let restraint_stats t name =
            (Array.to_list compiled.crules))
 
 let domains_seen t = List.length (locals t)
-let current_epoch t = (Atomic.get t.root).epoch
-let snapshot_swaps t = (Atomic.get t.root).epoch
-let retained_snapshots t = with_writer t (fun () -> List.length t.retired)
-let reclaimed_snapshots t = Atomic.get t.reclaimed
-
-let reclaim t =
-  with_writer t (fun () -> sweep_retired t)
-
+let snapshot_swaps t = Snapshot.swaps t.root
+let retained_snapshots _ = 0
 let exposure_log t = t.exposures

@@ -9,17 +9,16 @@
     cost-based optimizer.
 
     {b Multicore design.}  [check] is lock-free and scales across
-    OCaml domains: all compiled projects live in an immutable snapshot
-    behind one [Atomic.t], so a reader does a single atomic load per
+    OCaml domains: all compiled projects live in one immutable
+    {!Cm_parallel.Snapshot}, so a reader does a single atomic load per
     check and never takes a lock or waits for a writer.  Config
     updates ([load]/[unload]) and ordering changes build the next
-    snapshot off to the side under a writer mutex and publish it with
-    an epoch-bumping swap; superseded snapshots are retired and
-    reclaimed epoch-style once every reader domain has observed a
-    later epoch.
+    snapshot off to the side and publish it with a compare-and-set,
+    retrying against the winner if another writer published first.  A
+    superseded snapshot is freed by the GC once no reader holds it.
 
-    Execution statistics are accumulated per domain (no shared
-    counters on the hot path) and merged at reoptimize boundaries: the
+    Execution statistics are accumulated in per-domain cells
+    ({!Cm_parallel.Per_domain}; no shared counters on the hot path) and merged at reoptimize boundaries: the
     cost-based optimizer tracks each restraint's observed selectivity
     across all domains and orders every conjunction by
     [cost / P(short-circuit)] so the cheapest, most-likely-to-fail
@@ -87,21 +86,13 @@ val reoptimize : t -> unit
 val domains_seen : t -> int
 (** Domains that have ever called [check] on this runtime. *)
 
-val current_epoch : t -> int
-(** Epoch of the published snapshot; bumps on every publish. *)
-
 val snapshot_swaps : t -> int
-(** Snapshots published since creation (= [current_epoch]). *)
+(** Snapshots published since creation: each [load], each
+    [reoptimize] and each [unload] of a loaded project adds one. *)
 
 val retained_snapshots : t -> int
-(** Superseded snapshots still on the retire list (a reader domain may
-    not have observed a later epoch yet). *)
-
-val reclaimed_snapshots : t -> int
-(** Superseded snapshots dropped after every reader moved past them
-    ([reclaimed + retained] = [snapshot_swaps]). *)
-
-val reclaim : t -> unit
-(** Sweep the retire list now (publishes do this automatically). *)
+(** Always 0.  Superseded snapshots are not tracked: one stays
+    reachable only while a reader still holds it, and the GC frees it
+    after that.  Kept so callers that report it keep working. *)
 
 val exposure_log : t -> Exposure.Log.t option

@@ -1,37 +1,32 @@
 (* Sharded, read-mostly Laser store.
 
-   Readers never take a lock: the whole keyspace lives in one
-   immutable [root] value — an array of per-shard persistent maps plus
-   a generation number — reached through a single [Atomic.get].
-   Writers (the stream and MapReduce feeder pipelines) build the next
-   root off to the side and publish it with a compare-and-set; racing
+   Readers never take a lock: the whole keyspace is one immutable
+   array of per-shard persistent maps in a [Cm_parallel.Snapshot],
+   reached through a single atomic load.  Writers (the stream and
+   MapReduce feeder pipelines) build the next array off to the side
+   and publish it with [Snapshot.update]'s compare-and-set; racing
    writers retry against the freshest root, so feeders on different
-   domains never block each other and never block a reader.
+   domains never block each other and never block a reader.  The
+   generation is the snapshot's publish count.
 
    Publishing the root as one value is also what makes
    [mapreduce_refresh] atomic: a reader holding the old root sees the
    complete old batch, a reader that loads the new root sees the
    complete new batch, and no interleaving ever exposes the dropped-
-   but-not-yet-reloaded state the old mutable Hashtbl had. *)
+   but-not-yet-reloaded state the old mutable Hashtbl had.
+
+   Reads are counted in one [Cm_parallel.Per_domain] cell per domain:
+   the sum is approximate while readers run and exact once they
+   quiesce. *)
 
 module Smap = Map.Make (String)
-
-type root = {
-  shards : float Smap.t array;  (* immutable once published *)
-  generation : int;
-}
-
-(* Per-domain read counters: plain ints on separate (strided) slots so
-   concurrent domains don't publish to the same cache line on the
-   check hot path.  Summing them is approximate while domains are
-   running and exact once they quiesce. *)
-let read_slots = 64
-let slot_stride = 16
+module Snapshot = Cm_parallel.Snapshot
+module Per_domain = Cm_parallel.Per_domain
 
 type t = {
   nshards : int;
-  root : root Atomic.t;
-  reads_by_domain : int array;
+  root : float Smap.t array Snapshot.t;  (* immutable once published *)
+  reads : int ref Per_domain.t;
 }
 
 let shard_of t key = Hashtbl.hash key mod t.nshards
@@ -40,43 +35,27 @@ let create ?(shards = 16) () =
   let nshards = max 1 shards in
   {
     nshards;
-    root = Atomic.make { shards = Array.make nshards Smap.empty; generation = 0 };
-    reads_by_domain = Array.make (read_slots * slot_stride) 0;
+    root = Snapshot.make (Array.make nshards Smap.empty);
+    reads = Per_domain.create (fun () -> ref 0);
   }
 
 let get t key =
-  let slot = (Domain.self () :> int) land (read_slots - 1) * slot_stride in
-  t.reads_by_domain.(slot) <- t.reads_by_domain.(slot) + 1;
-  let root = Atomic.get t.root in
-  Smap.find_opt key root.shards.(shard_of t key)
+  incr (Per_domain.get t.reads);
+  Smap.find_opt key (Snapshot.get t.root).(shard_of t key)
 
 let size t =
-  let root = Atomic.get t.root in
-  Array.fold_left (fun acc shard -> acc + Smap.cardinal shard) 0 root.shards
+  Array.fold_left (fun acc shard -> acc + Smap.cardinal shard) 0 (Snapshot.get t.root)
 
-let reads t =
-  let acc = ref 0 in
-  for slot = 0 to read_slots - 1 do
-    acc := !acc + t.reads_by_domain.(slot * slot_stride)
-  done;
-  !acc
-
-let generation t = (Atomic.get t.root).generation
+let reads t = List.fold_left (fun acc n -> acc + !n) 0 (Per_domain.all t.reads)
+let generation t = Snapshot.swaps t.root
 let shard_count t = t.nshards
+let shard_sizes t = Array.to_list (Array.map Smap.cardinal (Snapshot.get t.root))
 
-let shard_sizes t =
-  Array.to_list (Array.map Smap.cardinal (Atomic.get t.root).shards)
-
-(* CAS-retry publish: [update] maps the freshest shard array to a new
-   one (it must copy, never mutate).  Lock-free — a writer that loses
-   the race re-derives its batch against the winner's root. *)
-let rec publish t update =
-  let old = Atomic.get t.root in
-  let next = { shards = update old.shards; generation = old.generation + 1 } in
-  if not (Atomic.compare_and_set t.root old next) then publish t update
-
+(* Every writer maps the freshest shard array to a new one (it must
+   copy, never mutate); a writer that loses the race re-derives its
+   batch against the winner's root. *)
 let put t key v =
-  publish t (fun shards ->
+  Snapshot.update t.root (fun shards ->
       let next = Array.copy shards in
       let s = shard_of t key in
       next.(s) <- Smap.add key v next.(s);
@@ -84,7 +63,7 @@ let put t key v =
 
 let stream_upsert t pairs =
   if pairs <> [] then
-    publish t (fun shards ->
+    Snapshot.update t.root (fun shards ->
         let next = Array.copy shards in
         List.iter
           (fun (k, v) ->
@@ -98,7 +77,7 @@ let mapreduce_refresh t ~prefix pairs =
   let under_prefix key =
     String.length key >= plen && String.sub key 0 plen = prefix
   in
-  publish t (fun shards ->
+  Snapshot.update t.root (fun shards ->
       let next =
         Array.map
           (fun shard -> Smap.filter (fun key _ -> not (under_prefix key)) shard)

@@ -7,10 +7,10 @@
     periodic MapReduce job (full refresh of a keyspace).
 
     The store is built for multicore readers: the keyspace is sharded
-    by key hash into immutable sub-tables hanging off one atomically
-    swapped root, so [get] is lock-free (a single [Atomic.get] plus a
-    pure lookup) and feeder pipelines publish with a compare-and-set
-    that never blocks readers or other feeders.  [mapreduce_refresh]
+    by key hash into immutable sub-tables held in one
+    {!Cm_parallel.Snapshot}, so [get] is lock-free (a single atomic
+    load plus a pure lookup) and feeder pipelines publish with a
+    compare-and-set that never blocks readers or other feeders.  [mapreduce_refresh]
     publishes its drop-and-reload as one swap, so a concurrent reader
     sees either the complete old batch or the complete new one — never
     a half-empty keyspace. *)
@@ -26,9 +26,9 @@ val put : t -> string -> float -> unit
 val size : t -> int
 val reads : t -> int
 (** Number of [get] calls served — Gatekeeper uses this to expose the
-    cost of data-intensive restraints.  Counted per domain without
-    synchronization: approximate while readers are running, exact once
-    they quiesce. *)
+    cost of data-intensive restraints.  Counted in one cell per domain
+    ({!Cm_parallel.Per_domain}) without synchronization: approximate
+    while readers are running, exact once they quiesce. *)
 
 val generation : t -> int
 (** Publishes since creation; each feeder batch bumps it by one. *)

@@ -142,7 +142,9 @@ let run t (input : Pipeline.verify_input) =
           List.map (test_job name test) (under_prefix ~prefix compiled))
         t.tests
   in
-  Core.Parallel.map_ordered input.Pipeline.verify_pool (fun job -> job ()) jobs
+  (match input.Pipeline.verify_pool with
+  | None -> List.map (fun job -> job ()) jobs
+  | Some pool -> Cm_parallel.Pool.map_list pool (fun job -> job ()) jobs)
   |> List.concat
   |> List.map (fun (verdict, repair) ->
          let verdict =

@@ -10,7 +10,8 @@
      sequential run's (exact for naive-order runs, which never
      reorder);
    - concurrent [load] is never observed torn and becomes visible;
-   - epoch reclamation accounting: retired + reclaimed = swaps;
+   - every [load] and [reoptimize] publishes exactly one snapshot, and
+     [unload] of a missing project publishes none;
    - racing feeder pipelines lose no updates (CAS retry). *)
 
 module User = Cm_gatekeeper.User
@@ -220,37 +221,25 @@ let runtime_tests =
         Domain.join reader;
         Alcotest.(check bool) "saw the gate on" true (Atomic.get seen_on);
         Alcotest.(check bool) "saw the gate off" true (Atomic.get seen_off));
-    Alcotest.test_case "epoch accounting: retired + reclaimed = swaps" `Quick (fun () ->
+    Alcotest.test_case "each load and reoptimize publishes one snapshot" `Quick (fun () ->
         let runtime = Runtime.create () in
+        let swaps () = Runtime.snapshot_swaps runtime in
+        Alcotest.(check int) "nothing published yet" 0 (swaps ());
         for i = 1 to 10 do
           Runtime.load runtime
-            (Project.staged ~name:"E" ~employee_prob:0.0 ~world_prob:(float_of_int i /. 10.0))
+            (Project.staged ~name:"E" ~employee_prob:0.0 ~world_prob:(float_of_int i /. 10.0));
+          Alcotest.(check int) "load adds one" i (swaps ())
         done;
-        ignore (Runtime.check runtime "E" (user 1L));
-        Runtime.reclaim runtime;
-        let swaps = Runtime.snapshot_swaps runtime in
-        Alcotest.(check int) "10 publishes" 10 swaps;
-        Alcotest.(check int) "conservation" swaps
-          (Runtime.retained_snapshots runtime + Runtime.reclaimed_snapshots runtime);
-        (* This domain has observed the newest epoch; nothing older can
-           still be referenced, and the cap bounds the rest. *)
-        Alcotest.(check bool) "retire list bounded" true
-          (Runtime.retained_snapshots runtime <= 4));
-    Alcotest.test_case "reader epoch pins a snapshot until it advances" `Quick (fun () ->
-        let runtime = Runtime.create () in
-        Runtime.load runtime (Project.staged ~name:"P" ~employee_prob:0.0 ~world_prob:1.0);
-        (* Reader observes epoch 1. *)
-        ignore (Runtime.check runtime "P" (user 1L));
-        Runtime.load runtime (Project.staged ~name:"P" ~employee_prob:0.0 ~world_prob:0.5);
-        (* The epoch-1 snapshot is retired but this domain still sits
-           at epoch 1, so it must be retained... *)
-        Alcotest.(check bool) "epoch-1 snapshot retained" true
-          (Runtime.retained_snapshots runtime >= 1);
-        (* ...until the reader advances, after which a sweep drops it. *)
-        ignore (Runtime.check runtime "P" (user 1L));
-        Runtime.reclaim runtime;
-        Alcotest.(check int) "all prior snapshots reclaimed" 0
-          (Runtime.retained_snapshots runtime));
+        for i = 1 to 50 do
+          ignore (Runtime.check runtime "E" (user (Int64.of_int i)))
+        done;
+        Alcotest.(check int) "checks publish nothing" 10 (swaps ());
+        Runtime.reoptimize runtime;
+        Alcotest.(check int) "reoptimize adds one" 11 (swaps ());
+        Runtime.unload runtime "Missing";
+        Alcotest.(check int) "unload of a missing project adds nothing" 11 (swaps ());
+        Runtime.unload runtime "E";
+        Alcotest.(check int) "unload of a loaded project adds one" 12 (swaps ()));
     Alcotest.test_case "exposure buffers merge across domains" `Quick (fun () ->
         let log = Exposure.Log.create () in
         let runtime = Runtime.create ~exposures:log () in

@@ -5,6 +5,9 @@
 
    - pool: input order preserved under uneven work; exceptions
      propagate after the join; worker-local state merges exactly once;
+   - Snapshot: racing updates lose no increment and every publish is
+     counted; an update that returns its input publishes nothing;
+   - Per_domain: one cell per domain, kept after its domain exits;
    - Depgraph.levels: wide cones are one level, chains are one level
      per link, members never precede their in-set dependencies;
    - QCheck: compile_all / compile_affected on an N-domain pool equal
@@ -23,7 +26,52 @@ module Pipeline = Core.Pipeline
 module Sandcastle = Core.Sandcastle
 module Defense = Core.Defense
 module Pool = Cm_parallel.Pool
+module Snapshot = Cm_parallel.Snapshot
+module Per_domain = Cm_parallel.Per_domain
 module Engine = Cm_sim.Engine
+
+(* --- Snapshot and Per_domain ------------------------------------------ *)
+
+let primitive_tests =
+  [
+    Alcotest.test_case "snapshot: racing updates lose no increment" `Quick (fun () ->
+        let snap = Snapshot.make 0 in
+        let bump () =
+          Domain.spawn (fun () ->
+              for _ = 1 to 10_000 do
+                Snapshot.update snap succ
+              done)
+        in
+        let a = bump () and b = bump () in
+        Domain.join a;
+        Domain.join b;
+        Alcotest.(check int) "value" 20_000 (Snapshot.get snap);
+        Alcotest.(check int) "swaps" 20_000 (Snapshot.swaps snap));
+    Alcotest.test_case "snapshot: returning the input publishes nothing" `Quick (fun () ->
+        let snap = Snapshot.make [ 1; 2 ] in
+        Snapshot.update snap (fun l -> 0 :: l);
+        let before = Snapshot.get snap in
+        Snapshot.update snap Fun.id;
+        Alcotest.(check int) "swaps unchanged" 1 (Snapshot.swaps snap);
+        Alcotest.(check bool) "same value" true (Snapshot.get snap == before));
+    Alcotest.test_case "per_domain: one init per domain, exited cells stay" `Quick (fun () ->
+        let inits = Atomic.make 0 in
+        let cells =
+          Per_domain.create (fun () ->
+              Atomic.incr inits;
+              ref 0)
+        in
+        let work n () =
+          for _ = 1 to n do
+            incr (Per_domain.get cells)
+          done
+        in
+        Domain.join (Domain.spawn (work 100));
+        work 7 ();
+        Alcotest.(check int) "one init per domain" 2 (Atomic.get inits);
+        Alcotest.(check (list int)) "the exited domain's cell is kept" [ 7; 100 ]
+          (List.map ( ! ) (Per_domain.all cells)));
+  ]
 
 (* --- the pool --------------------------------------------------------- *)
 
@@ -423,6 +471,7 @@ let pack_tests =
 let () =
   Alcotest.run "parallel"
     [
+      "primitives", primitive_tests;
       "pool", pool_tests;
       "levels", levels_tests;
       ( "equivalence",
