@@ -51,7 +51,7 @@ let verdict_of_error { at; stage; message } =
    long-lived tailer thus holds a working set, not an unbounded
    history of every closure hash it ever compiled.
 
-   Shared counters ([hits]/[misses]/[compile_seconds]) are plain
+   Shared counters ([hits]/[misses]) are plain
    metrics mutated only on the caller's domain: the sequential path
    increments directly, the parallel path accumulates into per-domain
    [local] blocks that [merge] at the pool's join point. *)
@@ -80,7 +80,6 @@ module Cache = struct
     shard_budget : int;  (* byte_budget / nshards, or max_int *)
     hit_counter : Metrics.Counter.t;
     miss_counter : Metrics.Counter.t;
-    compile_seconds : Metrics.Histogram.t;
   }
 
   let create ?byte_budget ?(shards = 16) () =
@@ -98,7 +97,6 @@ module Cache = struct
         | None -> max_int);
       hit_counter = Metrics.Counter.create ();
       miss_counter = Metrics.Counter.create ();
-      compile_seconds = Metrics.Histogram.create ();
     }
 
   (* What an entry charges against the budget: the artifact bytes plus
@@ -177,23 +175,17 @@ module Cache = struct
 
   let byte_budget t = t.byte_budget
   let shard_count t = t.nshards
-  let compile_seconds t = t.compile_seconds
 
   (* Per-domain counter block, merged on the caller's domain at the
      pool's join point — shared metrics are never touched from a
      worker. *)
-  type local = {
-    mutable lhits : int;
-    mutable lmisses : int;
-    mutable lsamples : float list;  (* per-miss compile seconds, newest first *)
-  }
+  type local = { mutable lhits : int; mutable lmisses : int }
 
-  let local () = { lhits = 0; lmisses = 0; lsamples = [] }
+  let local () = { lhits = 0; lmisses = 0 }
 
   let merge t l =
     if l.lhits > 0 then Metrics.Counter.incr ~by:l.lhits t.hit_counter;
-    if l.lmisses > 0 then Metrics.Counter.incr ~by:l.lmisses t.miss_counter;
-    List.iter (Metrics.Histogram.add t.compile_seconds) (List.rev l.lsamples)
+    if l.lmisses > 0 then Metrics.Counter.incr ~by:l.lmisses t.miss_counter
 end
 
 type t = {
@@ -230,35 +222,49 @@ let artifact_path_of path =
 
 let err at stage fmt = Printf.ksprintf (fun message -> Error { at; stage; message }) fmt
 
-(* Source validators live at "<dir>/<Type>.thrift-cvalidator" or
-   anywhere in the tree with that basename; discovery is by suffix. *)
-let source_validator t type_name =
-  let suffix = type_name ^ ".thrift-cvalidator" in
-  let matches path =
-    let n = String.length path and m = String.length suffix in
-    n >= m
-    && String.sub path (n - m) m = suffix
-    && (n = m || path.[n - m - 1] = '/')
+(* What every compile of one [collect] shares, built on the caller's
+   domain before any fan-out and only read after: the validator
+   closure each key appends (every validator source plus its imports),
+   and each source validator parsed and evaluated once.  Validators
+   live at "<dir>/<Type>.thrift-cvalidator"; when several paths share
+   that basename, the first in sorted order wins. *)
+type validator_context = {
+  vclosure : string list;
+  vrules : (string * (Validator.rule, string) result) list;  (* by type name *)
+}
+
+let validator_closure t paths =
+  List.concat_map (fun v -> v :: Depgraph.transitive_deps t.dep v) paths
+
+let validator_context t =
+  let paths = Source_tree.paths_of_kind t.tree Source_tree.Cvalidator in
+  let suffix = ".thrift-cvalidator" in
+  let add rules path =
+    let base = Filename.basename path in
+    if not (String.ends_with ~suffix base) then rules
+    else
+      let type_name = String.sub base 0 (String.length base - String.length suffix) in
+      match Source_tree.read t.tree path with
+      | Some source when not (List.mem_assoc type_name rules) ->
+          (type_name, Validator.of_source ~type_name ~source) :: rules
+      | Some _ | None -> rules
   in
-  match List.find_opt matches (Source_tree.paths t.tree) with
-  | Some path -> Source_tree.read t.tree path
-  | None -> None
+  { vclosure = validator_closure t paths; vrules = List.fold_left add [] paths }
 
-let run_validators t ~path ~type_name value =
+let run_validators t ctx ~path ~type_name value =
+  let fail reason = err path Validation "%s" reason in
   match Validator.validate t.vals ~type_name value with
-  | Validator.Fail reason -> err path Validation "%s" reason
+  | Validator.Fail reason -> fail reason
   | Validator.Pass -> (
-      match source_validator t type_name with
+      match List.assoc_opt type_name ctx.vrules with
       | None -> Ok ()
-      | Some source -> (
-          match Validator.of_source ~type_name ~source with
-          | Error reason -> err path Validation "%s" reason
-          | Ok rule -> (
-              match rule.Validator.check value with
-              | Validator.Pass -> Ok ()
-              | Validator.Fail reason -> err path Validation "%s" reason)))
+      | Some (Error reason) -> fail reason
+      | Some (Ok rule) -> (
+          match rule.Validator.check value with
+          | Validator.Pass -> Ok ()
+          | Validator.Fail reason -> fail reason))
 
-let compile_cconf t path source =
+let compile_cconf t ctx path source =
   match
     Cm_lang.Eval.run ~loader:(Source_tree.loader t.tree) ~path ~source
   with
@@ -285,7 +291,7 @@ let compile_cconf t path source =
               | Ok (normalized, type_name) -> (
                   let validated =
                     match type_name with
-                    | Some name -> run_validators t ~path ~type_name:name normalized
+                    | Some name -> run_validators t ctx ~path ~type_name:name normalized
                     | None -> Ok ()
                   in
                   match validated with
@@ -310,10 +316,6 @@ let compile_cconf t path source =
                         }))))
 
 let compile_raw path source =
-  let ends_with suffix =
-    let n = String.length path and m = String.length suffix in
-    n >= m && String.sub path (n - m) m = suffix
-  in
   match Cm_json.Parser.parse source with
   | Ok json ->
       (* Raw configs that happen to be JSON keep their structure. *)
@@ -330,7 +332,7 @@ let compile_raw path source =
           schema_hash = None;
           deps = [];
         }
-  | Error e when ends_with ".json" ->
+  | Error e when String.ends_with ~suffix:".json" path ->
       err path Parse "%s" (Format.asprintf "%a" Cm_json.Parser.pp_error e)
   | Error _ ->
       (* Arbitrary raw content is distributed as-is (§6.1: "Configerator
@@ -348,12 +350,12 @@ let compile_raw path source =
           deps = [];
         }
 
-let compile t path =
+let compile_in t ctx path =
   match Source_tree.read t.tree path with
   | None -> err path Parse "no such source file"
   | Some source -> (
       match Source_tree.kind_of_path path with
-      | Source_tree.Cconf -> compile_cconf t path source
+      | Source_tree.Cconf -> compile_cconf t ctx path source
       | Source_tree.Raw -> compile_raw path source
       | Source_tree.Cinc | Source_tree.Thrift | Source_tree.Cvalidator ->
           err path Parse "not a config root (modules and schemas are not compiled directly)")
@@ -365,15 +367,9 @@ let compile t path =
    tracking timestamps makes the memo table shareable across source
    trees: a development clone and the live tree that agree on the
    closure bytes agree on the artifact. *)
-let closure_hash t path =
-  let validator_closure =
-    List.concat_map
-      (fun v -> v :: Depgraph.transitive_deps t.dep v)
-      (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator)
-  in
+let closure_key t vclosure path =
   let closure =
-    List.sort_uniq String.compare
-      ((path :: Depgraph.transitive_deps t.dep path) @ validator_closure)
+    List.sort_uniq String.compare ((path :: Depgraph.transitive_deps t.dep path) @ vclosure)
   in
   let buf = Buffer.create 512 in
   List.iter
@@ -387,31 +383,36 @@ let closure_hash t path =
     closure;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let compile t path = compile_in t (validator_context t) path
+
+let closure_hash t path =
+  closure_key t
+    (validator_closure t (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator))
+    path
+
 (* Memoized compile: unchanged transitive closures are never
    re-evaluated.  Only successful artifacts are cached — errors are
    cheap to reproduce and must stay attributable to current sources.
-   The [stats] block receives the hit/miss/latency accounting; the
+   The [stats] block receives the hit/miss accounting; the
    sequential entry point merges it into the shared counters
    immediately, the parallel one at the pool's join. *)
-let compile_memo_local t stats path =
-  let key = closure_hash t path in
+let compile_memo_local t ctx stats path =
+  let key = closure_key t ctx.vclosure path in
   match Cache.find t.cache key with
   | Some compiled ->
       stats.Cache.lhits <- stats.Cache.lhits + 1;
       Ok compiled
   | None ->
-      let started = Sys.time () in
-      let result = compile t path in
-      stats.Cache.lsamples <- (Sys.time () -. started) :: stats.Cache.lsamples;
+      let result = compile_in t ctx path in
       stats.Cache.lmisses <- stats.Cache.lmisses + 1;
       (match result with
       | Ok compiled -> Cache.store t.cache key compiled
       | Error _ -> ());
       result
 
-let compile_memo t path =
+let compile_memo t ctx path =
   let stats = Cache.local () in
-  let result = compile_memo_local t stats path in
+  let result = compile_memo_local t ctx stats path in
   Cache.merge t.cache stats;
   result
 
@@ -436,24 +437,27 @@ let assemble targets result_of =
    in-flight compiles share a memo key — hit/miss totals are
    identical to the sequential path's, and so is the assembled
    output, bit for bit. *)
-let collect_par t pool targets =
+let collect_par t ctx pool targets =
   let results = Hashtbl.create (max 16 (List.length targets)) in
   List.iter
     (fun level ->
       let level = Array.of_list level in
       let out =
         Cm_parallel.Pool.map_local pool ~local:Cache.local
-          ~f:(fun stats path -> compile_memo_local t stats path)
+          ~f:(compile_memo_local t ctx)
           ~merge:(Cache.merge t.cache) level
       in
       Array.iteri (fun i result -> Hashtbl.replace results level.(i) result) out)
     (Depgraph.levels t.dep targets);
   assemble targets (Hashtbl.find results)
 
+(* A 1-domain pool takes the sequential path: levels and a result table
+   would only be bookkeeping there. *)
 let collect ?pool t targets =
+  let ctx = validator_context t in
   match pool with
-  | Some pool -> collect_par t pool targets
-  | None -> assemble targets (compile_memo t)
+  | Some pool when Cm_parallel.Pool.domains pool > 1 -> collect_par t ctx pool targets
+  | Some _ | None -> assemble targets (compile_memo t ctx)
 
 let note_changed t changed =
   List.iter (fun path -> Depgraph.update_file t.dep t.tree path) changed

@@ -88,9 +88,6 @@ module Cache : sig
   val byte_budget : t -> int option
   val shard_count : t -> int
 
-  val compile_seconds : t -> Cm_sim.Metrics.Histogram.t
-  (** Per-miss compile latency (CPU seconds); hits cost no samples. *)
-
   (** {2 Direct access (tests and custom schedulers)} *)
 
   val find : t -> string -> compiled option
@@ -100,14 +97,10 @@ module Cache : sig
   (** CAS-publish an artifact under its closure hash, evicting to the
       byte budget.  Losing a race to an identical key is a no-op. *)
 
-  (** Per-domain counter block: workers on a pool accumulate hits,
-      misses and compile-latency samples privately and the caller
-      merges them into the shared counters at the join point. *)
-  type local = {
-    mutable lhits : int;
-    mutable lmisses : int;
-    mutable lsamples : float list;
-  }
+  (** Per-domain counter block: workers on a pool accumulate hits and
+      misses privately and the caller merges them into the shared
+      counters at the join point. *)
+  type local = { mutable lhits : int; mutable lmisses : int }
 
   val local : unit -> local
   val merge : t -> local -> unit
@@ -137,8 +130,9 @@ val compile : t -> string -> (compiled, error) result
 
 val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
 (** Compile every config in the tree ([*.cconf] + raw), through the
-    memo table.  With [pool], configs fan out across its domains in
-    dependency level order ({!Depgraph.levels}); the result — artifact
+    memo table.  With a [pool] of two or more domains, configs fan out
+    across them in dependency level order ({!Depgraph.levels}); a
+    1-domain pool runs the sequential path.  The result — artifact
     list, error list and ordering, cache counter totals — is identical
     to the sequential run's. *)
 

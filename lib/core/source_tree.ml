@@ -1,36 +1,33 @@
 type kind = Cconf | Cinc | Thrift | Cvalidator | Raw
 
 let kind_of_path path =
-  let ends_with suffix =
-    let n = String.length path and m = String.length suffix in
-    n >= m && String.sub path (n - m) m = suffix
-  in
+  let ends_with suffix = String.ends_with ~suffix path in
   if ends_with ".cconf" then Cconf
   else if ends_with ".cinc" then Cinc
   else if ends_with "cvalidator" then Cvalidator (* "<Type>.thrift-cvalidator" *)
   else if ends_with ".thrift" then Thrift
   else Raw
 
-type t = { files : (string, string) Hashtbl.t }
+module Smap = Map.Make (String)
 
-let create () = { files = Hashtbl.create 64 }
+(* A persistent map behind one mutable field: listings come out sorted
+   without a sort, and a copy shares every node with its original. *)
+type t = { mutable files : string Smap.t }
+
+let create () = { files = Smap.empty }
 
 let of_alist entries =
-  let t = create () in
-  List.iter (fun (path, content) -> Hashtbl.replace t.files path content) entries;
-  t
+  { files = List.fold_left (fun acc (path, content) -> Smap.add path content acc) Smap.empty entries }
 
-let copy t = { files = Hashtbl.copy t.files }
-let write t path content = Hashtbl.replace t.files path content
-let remove t path = Hashtbl.remove t.files path
-let read t path = Hashtbl.find_opt t.files path
-let mem t path = Hashtbl.mem t.files path
-
-let paths t =
-  List.sort String.compare (Hashtbl.fold (fun path _ acc -> path :: acc) t.files [])
+let copy t = { files = t.files }
+let write t path content = t.files <- Smap.add path content t.files
+let remove t path = t.files <- Smap.remove path t.files
+let read t path = Smap.find_opt path t.files
+let mem t path = Smap.mem path t.files
+let paths t = List.rev (Smap.fold (fun path _ acc -> path :: acc) t.files [])
 
 let paths_of_kind t kind = List.filter (fun path -> kind_of_path path = kind) (paths t)
-let count t = Hashtbl.length t.files
+let count t = Smap.cardinal t.files
 
 let loader t target =
   match read t target with
@@ -41,7 +38,4 @@ let loader t target =
         read t (String.sub target 1 (String.length target - 1))
       else None
 
-let snapshot t =
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun path content acc -> (path, content) :: acc) t.files [])
+let snapshot t = Smap.bindings t.files

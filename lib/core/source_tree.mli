@@ -18,9 +18,8 @@ val create : unit -> t
 val of_alist : (string * string) list -> t
 
 val copy : t -> t
-(** O(files) shallow copy — contents are immutable strings, so the
-    copy is independent for write/remove purposes.  Cheaper than
-    [of_alist (snapshot t)], which also sorts. *)
+(** O(1): the files live in a persistent map, so the copy shares it
+    and later writes to either side stay independent. *)
 
 val write : t -> string -> string -> unit
 val remove : t -> string -> unit
@@ -31,6 +30,7 @@ val paths : t -> string list
 
 val paths_of_kind : t -> kind -> string list
 val count : t -> int
+(** O(files). *)
 
 val loader : t -> string -> string option
 (** The import resolver handed to {!Cm_lang.Eval.run}: resolves both

@@ -96,33 +96,33 @@ let of_source ~type_name ~source =
       in
       if not has_validate then Error "validator source must define validate(cfg)"
       else
-        let check v =
-          (* Re-run the validator file, then apply its [validate]. *)
+        (* Evaluate the file once; every check applies the resulting
+           [validate] closure in a fresh child scope, so the closure is
+           only read and domains can share it. *)
+        let check =
           match
             Cm_lang.Eval.run
               ~loader:(fun _ -> None)
               ~path:(type_name ^ ".thrift-cvalidator") ~source
           with
-          | Error e -> Fail (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message)
+          | Error e -> fun _ -> Fail (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message)
           | Ok outcome -> (
               match List.assoc_opt "validate" outcome.Cm_lang.Eval.bindings with
-              | None -> Fail "validator did not produce a validate function"
+              | None -> fun _ -> Fail "validator did not produce a validate function"
               | Some fn -> (
-                  let arg = Cm_lang.Eval.of_thrift v in
-                  let call =
-                    Cm_lang.Parser.parse_expr_exn "validate(cfg)"
-                  in
-                  match
-                    Cm_lang.Eval.eval_expr_standalone
-                      ~bindings:[ "validate", fn; "cfg", arg ] call
-                  with
-                  | Ok (Cm_lang.Eval.V_bool true) -> Pass
-                  | Ok (Cm_lang.Eval.V_bool false) -> Fail "validate(cfg) returned false"
-                  | Ok (Cm_lang.Eval.V_str "") -> Pass
-                  | Ok (Cm_lang.Eval.V_str message) -> Fail message
-                  | Ok _ -> Fail "validate(cfg) must return bool or string"
-                  | Error e ->
-                      Fail (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message)))
+                  let call = Cm_lang.Parser.parse_expr_exn "validate(cfg)" in
+                  fun v ->
+                    match
+                      Cm_lang.Eval.eval_expr_standalone
+                        ~bindings:[ "validate", fn; "cfg", Cm_lang.Eval.of_thrift v ] call
+                    with
+                    | Ok (Cm_lang.Eval.V_bool true) -> Pass
+                    | Ok (Cm_lang.Eval.V_bool false) -> Fail "validate(cfg) returned false"
+                    | Ok (Cm_lang.Eval.V_str "") -> Pass
+                    | Ok (Cm_lang.Eval.V_str message) -> Fail message
+                    | Ok _ -> Fail "validate(cfg) must return bool or string"
+                    | Error e ->
+                        Fail (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message)))
         in
         Ok (rule (type_name ^ " source validator") check)
 

@@ -55,7 +55,11 @@ val register : t -> type_name:string -> rule -> unit
 val of_source : type_name:string -> source:string -> (rule, string) result
 (** Compile a CSL validator source: must define [validate] taking the
     config and returning a bool (or a string, interpreted as a
-    failure message; empty string = pass). *)
+    failure message; empty string = pass).  The source is parsed and
+    evaluated here, once; each check only applies [validate], so the
+    rule is safe to share between domains.  A source whose evaluation
+    fails still yields [Ok]: every check then fails with
+    ["validator error: ..."]. *)
 
 val register_source : t -> type_name:string -> source:string -> (unit, string) result
 

@@ -146,6 +146,23 @@ let validator_tests =
         match Validator.of_source ~type_name:"J" ~source:"x = 1" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected error");
+    Alcotest.test_case "validator whose evaluation fails fails every check" `Quick (fun () ->
+        let source = "def validate(cfg) = true\nbroken = nosuch + 1" in
+        match Validator.of_source ~type_name:"Job" ~source with
+        | Error e -> Alcotest.failf "evaluation failure is not a source error: %s" e
+        | Ok rule ->
+            List.iter
+              (fun mb ->
+                Alcotest.(check bool) "fails with the evaluation error" true
+                  (rule.Validator.check (TValue.Struct ("Job", [ "memory_mb", TValue.Int mb ]))
+                  = Validator.Fail "validator error: unbound variable nosuch"))
+              [ 8; 128; 8 ]);
+    Alcotest.test_case "validator parse error is an Error" `Quick (fun () ->
+        match Validator.of_source ~type_name:"Job" ~source:"def validate(cfg) = (\n" with
+        | Error e ->
+            Alcotest.(check bool) "parse error text" true
+              (String.starts_with ~prefix:"validator parse error at line " e)
+        | Ok _ -> Alcotest.fail "expected error");
   ]
 
 let compiler_tests =
@@ -220,6 +237,16 @@ export create_job("huge", 999999)
         match Compiler.compile compiler "jobs/cache_job.cconf" with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "cache job should pass: %a" Compiler.pp_error e);
+    Alcotest.test_case "first validator path in sorted order wins" `Quick (fun () ->
+        let tree = figure2_tree () in
+        ST.write tree "a/Job.thrift-cvalidator" "def validate(cfg) = true";
+        ST.write tree "b/Job.thrift-cvalidator" {|def validate(cfg) = "b rejects"|};
+        ST.write tree "Jobx.thrift-cvalidator" {|def validate(cfg) = "other type"|};
+        let errors () = snd (Compiler.compile_all (Compiler.create tree)) in
+        Alcotest.(check int) "a/ passes every job" 0 (List.length (errors ()));
+        ST.remove tree "a/Job.thrift-cvalidator";
+        Alcotest.(check (list string)) "then b/ rejects every job" [ "b rejects"; "b rejects" ]
+          (List.map (fun e -> e.Compiler.message) (errors ())));
     Alcotest.test_case "raw json must parse" `Quick (fun () ->
         let tree = ST.of_alist [ "bad.json", "{oops" ] in
         match Compiler.compile (Compiler.create tree) "bad.json" with
@@ -815,6 +842,74 @@ let incremental_tests =
         Alcotest.(check (list string)) "cone is one config" [ "jobs/cache_job.cconf" ]
           (List.map (fun c -> c.Compiler.config_path) oks);
         Alcotest.(check int) "one fresh compile" (misses0 + 1) (Compiler.Cache.misses cache));
+    Alcotest.test_case "source validator add, edit and delete match a fresh compile" `Quick
+      (fun () ->
+        let tree = figure2_tree () in
+        let compiler = Compiler.create tree in
+        ignore (Compiler.compile_all compiler);
+        let vpath = "schemas/Job.thrift-cvalidator" in
+        let view (oks, errors) =
+          ( List.map (fun c -> c.Compiler.config_path, c.Compiler.digest) oks,
+            List.map
+              (fun e -> e.Compiler.at, Compiler.stage_name e.Compiler.stage, e.Compiler.message)
+              errors )
+        in
+        let step edit =
+          (match edit with Some source -> ST.write tree vpath source | None -> ST.remove tree vpath);
+          let incr = view (Compiler.compile_affected compiler ~changed:[ vpath ]) in
+          let oks, errors = view (Compiler.compile_all (Compiler.create (ST.copy tree))) in
+          let typed (path, _) = ST.kind_of_path path = ST.Cconf in
+          Alcotest.(check (pair (list (pair string string)) (list (triple string string string))))
+            "incremental = fresh compiler" (List.filter typed oks, errors) incr;
+          snd incr
+        in
+        Alcotest.(check int) "added: passes" 0
+          (List.length (step (Some "def validate(cfg) = cfg.memory_mb <= 4096")));
+        Alcotest.(check (list (triple string string string))) "edited: rejects"
+          [ "jobs/cache_job.cconf", "validation", "too much memory" ]
+          (step
+             (Some {|def validate(cfg) = if cfg.memory_mb > 1024 then "too much memory" else true|}));
+        Alcotest.(check int) "deleted: passes" 0 (List.length (step None)));
+    Alcotest.test_case "closure hashes of the land-wide tree are pinned" `Quick (fun () ->
+        (* The benchmark's land-wide tree: 400 typed configs over 8
+           shared modules, one schema, one source validator.  The
+           expected digests (over every "path hash" line) were taken
+           from the compiler before validator contexts existed; an
+           edit that keeps the path set must move them the same way. *)
+        let thrift =
+          "struct Svc {\n  1: required i32 id;\n  2: i32 port;\n  3: i32 weight;\n  4: i32 replicas;\n  5: string owner;\n}\n"
+        in
+        let validator =
+          "def validate(cfg) = cfg.port >= 7000 and cfg.port < 16000 and cfg.replicas >= 1\n"
+        in
+        let module_path k = Printf.sprintf "modules/m%02d.cinc" k in
+        let module_source k v = Printf.sprintf "M%02d = %d\n" k v in
+        let config i =
+          let k = i mod 8 in
+          ( Printf.sprintf "configs/svc_%04d.cconf" i,
+            Printf.sprintf
+              "import_thrift \"schemas/svc.thrift\"\nimport \"%s\"\nexport Svc { id = %d, port = %d, weight = M%02d * 3 + %d, replicas = %d, owner = \"team%02d\" }\n"
+              (module_path k) i (7000 + i) k i ((i mod 5) + 1) k )
+        in
+        let tree =
+          ST.of_alist
+            ([ "schemas/svc.thrift", thrift; "schemas/Svc.thrift-cvalidator", validator ]
+            @ List.init 8 (fun k -> module_path k, module_source k (k * 37))
+            @ List.init 400 config)
+        in
+        let compiler = Compiler.create tree in
+        let digest () =
+          Digest.to_hex
+            (Digest.string
+               (String.concat ""
+                  (List.map
+                     (fun path -> Printf.sprintf "%s %s\n" path (Compiler.closure_hash compiler path))
+                     (ST.paths_of_kind tree ST.Cconf))))
+        in
+        Alcotest.(check string) "before" "fd077a47c831cfeb779df638bd53347e" (digest ());
+        ST.write tree (module_path 3) (module_source 3 999);
+        Compiler.note_changed compiler [ module_path 3 ];
+        Alcotest.(check string) "after" "fc22687a693de0bcfe3d9ee2ed1b5bb9" (digest ()));
     Alcotest.test_case "validator edit recompiles every cconf" `Quick (fun () ->
         let tree = figure2_tree () in
         let compiler = Compiler.create tree in
@@ -1423,11 +1518,73 @@ let incr_equivalence_property =
           view incr = view (Compiler.create tree))
         mutations)
 
+(* Source_tree against an association-list model: random writes,
+   removes and copies over a few trees (each copy starts from its
+   source tree's model), with every observer compared after each step.
+   Writing to a copy or to its original must leave the other alone. *)
+let source_tree_model_property =
+  let names =
+    [| "a.cconf"; "b/a.cconf"; "m/x.cinc"; "s/T.thrift"; "s/T.thrift-cvalidator"; "raw/k.json"; "z" |]
+  in
+  let open QCheck2.Gen in
+  let op =
+    oneof
+      [
+        map3 (fun t i v -> `Write (t, i, v)) (int_bound 3) (int_bound 6) (int_bound 9);
+        map2 (fun t i -> `Remove (t, i)) (int_bound 3) (int_bound 6);
+        map (fun t -> `Copy t) (int_bound 3);
+      ]
+  in
+  let init = list_size (int_bound 6) (pair (int_bound 6) (int_bound 9)) in
+  QCheck2.Test.make ~name:"source tree matches an assoc-list model" ~count:300
+    (pair init (list_size (int_bound 40) op))
+    (fun (init, ops) ->
+      let write model path content = (path, content) :: List.remove_assoc path model in
+      let agree (tree, model) =
+        let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) model in
+        ST.snapshot tree = sorted
+        && ST.paths tree = List.map fst sorted
+        && ST.count tree = List.length model
+        && Array.for_all
+             (fun p -> ST.read tree p = List.assoc_opt p model && ST.mem tree p = List.mem_assoc p model)
+             names
+        && List.for_all
+             (fun k ->
+               ST.paths_of_kind tree k
+               = List.filter (fun p -> ST.kind_of_path p = k) (List.map fst sorted))
+             [ ST.Cconf; ST.Cinc; ST.Thrift; ST.Cvalidator; ST.Raw ]
+      in
+      let init = List.map (fun (i, v) -> names.(i), string_of_int v) init in
+      let first = ST.of_alist init, List.fold_left (fun m (p, c) -> write m p c) [] init in
+      let step trees op =
+        let pick t = t mod List.length trees in
+        let update t f = List.mapi (fun j tm -> if j = pick t then f tm else tm) trees in
+        match op with
+        | `Write (t, i, v) ->
+            update t (fun (tree, model) ->
+                ST.write tree names.(i) (string_of_int v);
+                tree, write model names.(i) (string_of_int v))
+        | `Remove (t, i) ->
+            update t (fun (tree, model) ->
+                ST.remove tree names.(i);
+                tree, List.remove_assoc names.(i) model)
+        | `Copy t ->
+            let tree, model = List.nth trees (pick t) in
+            trees @ [ ST.copy tree, model ]
+      in
+      let rec go trees = function
+        | [] -> true
+        | op :: rest ->
+            let trees = step trees op in
+            List.for_all agree trees && go trees rest
+      in
+      agree first && go [ first ] ops)
+
 let core_properties =
   List.map QCheck_alcotest.to_alcotest
     [
       spec_roundtrip_property; ui_source_roundtrip_property; risk_monotone_property;
-      incr_equivalence_property;
+      incr_equivalence_property; source_tree_model_property;
     ]
 
 let () =

@@ -329,6 +329,36 @@ let cache_tests =
         (* Content addressing deduplicated the racing publishes: one
            entry per config, not per worker. *)
         Alcotest.(check int) "one entry per config" 12 (Compiler.Cache.size cache));
+    Alcotest.test_case "domains share one evaluated source validator" `Quick (fun () ->
+        (* The validator is evaluated once per compile, on the caller;
+           every worker applies the same closure to its configs. *)
+        let tree () =
+          ST.of_alist
+            ([
+               "schemas/svc.thrift", "struct Svc { 1: i32 port; }";
+               ( "schemas/Svc.thrift-cvalidator",
+                 {|def validate(cfg) = if cfg.port % 3 == 0 then "port divisible by 3" else cfg.port > 7000|}
+               );
+             ]
+            @ List.init 40 (fun i ->
+                  ( Printf.sprintf "c/s%02d.cconf" i,
+                    Printf.sprintf "import_thrift \"schemas/svc.thrift\"\nexport Svc { port = %d }"
+                      (6990 + i) )))
+        in
+        let view ?pool () =
+          let oks, errors = Compiler.compile_all ?pool (Compiler.create (tree ())) in
+          ( List.map (fun c -> c.Compiler.config_path, c.Compiler.digest) oks,
+            List.map (fun e -> e.Compiler.at, e.Compiler.message) errors )
+        in
+        let seq = view () in
+        Alcotest.(check bool) "some pass, some fail" true (fst seq <> [] && snd seq <> []);
+        List.iter
+          (fun domains ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%d domains = sequential" domains)
+              true
+              (seq = view ~pool:(Pool.create ~domains ()) ()))
+          [ 1; 2; 4 ]);
   ]
 
 (* --- defense stages: pool and no-pool runs agree ----------------------- *)
